@@ -106,8 +106,15 @@ int main() {
 
   auto start = Clock::now();
   for (const auto& f : int8_frames) {
-    if (decoder.decode(f, scratch) != net::WireError::kOk) return 1;
-    sink += scratch.gradient[0];
+    if (const net::WireError error = decoder.decode(f, scratch);
+        error != net::WireError::kOk) {
+      std::cerr << "wire_ingest_bench: int8 frame failed to decode: "
+                << net::wire_error_name(error) << "\n";
+      return 1;
+    }
+    // The int8 kind stays quantized (DESIGN.md §12): decode validates and
+    // copies the payload; the fold dequantizes it.
+    sink += static_cast<float>(scratch.quantized[0]) * scratch.scale;
   }
   auto stop = Clock::now();
   const double int8_decode_ns =
@@ -115,7 +122,12 @@ int main() {
 
   start = Clock::now();
   for (const auto& f : raw_frames) {
-    if (decoder.decode(f, scratch) != net::WireError::kOk) return 1;
+    if (const net::WireError error = decoder.decode(f, scratch);
+        error != net::WireError::kOk) {
+      std::cerr << "wire_ingest_bench: float32 frame failed to decode: "
+                << net::wire_error_name(error) << "\n";
+      return 1;
+    }
     sink += scratch.gradient[0];
   }
   stop = Clock::now();
@@ -151,13 +163,20 @@ int main() {
 
   // Wire path: the same stream as pre-encoded int8 frames through the
   // loopback ring, one injector (the ordered configuration), drained.
+  // Backpressured submits retry until they land, like the in-process loop
+  // above: with a bounded retry budget a burst that outlasts it gives
+  // frames up as server rejects, and the throughput would not be over the
+  // whole stream.
   double wire_s = 0.0;
   {
     auto m = nn::zoo::mlp(8, 4, 3);
     m->init(1);
     runtime::ConcurrentFleetServer server(*m, pretrained_iprof(), server_cfg,
                                           runtime::RuntimeConfig{});
-    net::LoopbackIngest ingest(server);
+    net::LoopbackIngest::Config ingest_cfg;
+    ingest_cfg.retry_backpressure = true;
+    ingest_cfg.max_submit_attempts = 0;  // unbounded; the host keeps draining
+    net::LoopbackIngest ingest(server, ingest_cfg);
     start = Clock::now();
     for (const auto& f : int8_frames) {
       while (!ingest.try_send(f)) {}  // ring backpressure: spin
@@ -166,7 +185,20 @@ int main() {
     server.drain();
     wire_s = elapsed_s(start, Clock::now());
     const auto stats = ingest.stats();
-    if (stats.frames_submitted != n_gradients) return 1;
+    if (stats.frames_submitted != n_gradients) {
+      std::cerr << "wire_ingest_bench: ingest ledger does not account every "
+                   "frame as submitted: expected "
+                << n_gradients << " submitted; frames_sent="
+                << stats.frames_sent
+                << " frames_submitted=" << stats.frames_submitted
+                << " wire_rejects=" << stats.wire_rejects
+                << " server_rejects=" << stats.server_rejects
+                << " shed_drops=" << stats.shed_drops
+                << " ring_rejects=" << stats.ring_rejects
+                << " backpressure_retries=" << stats.backpressure_retries
+                << "\n";
+      return 1;
+    }
     ingest.close();
     server.stop();
   }

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "fleet/core/atomic_shared.hpp"
@@ -51,6 +53,11 @@ class ModelStore {
   /// replaces the snapshot (the last write wins). Single-publisher only.
   Snapshot publish(std::size_t version, Buffer parameters);
 
+  /// Publish an already-built snapshot handle (e.g. a SnapshotPool buffer
+  /// the fold lanes filled): a handle swap, no copy and no buffer
+  /// allocation. Same ring and single-publisher rules as above.
+  Snapshot publish(std::size_t version, Snapshot snapshot);
+
   /// Exact lookup; nullptr when `version` was never published or has been
   /// evicted from the ring. One constant-time atomic record copy (a
   /// micro-spinlocked handle, see AtomicSharedPtr — not formally
@@ -85,8 +92,8 @@ class ModelStore {
     return latest_.load(std::memory_order_acquire);
   }
 
-  /// Total publishes — the number of parameter buffers ever materialized.
-  /// Contrast with hits() to see how much the ring amortizes.
+  /// Total publishes. Contrast with hits() to see how much the ring
+  /// amortizes.
   std::size_t publishes() const {
     return published_.load(std::memory_order_relaxed);
   }
@@ -110,6 +117,48 @@ class ModelStore {
   mutable std::atomic<std::size_t> hits_{0};
   /// Single-publisher tripwire (see class comment).
   std::atomic_flag publishing_ = ATOMIC_FLAG_INIT;
+};
+
+/// Recycler of fixed-length snapshot buffers (DESIGN.md §4). A serving
+/// session publishes a new parameter vector per dirty drain batch; instead
+/// of allocating (and page-faulting) a fresh |theta| buffer each time, it
+/// takes one from its pool, fills it, and seals it into a Snapshot whose
+/// last handle — in the ring, in current(), or in any reader — gives the
+/// buffer back when it drops. A buffer is therefore only ever handed out
+/// again once nobody can read it, so the writer never races a reader.
+///
+/// acquire()/seal() belong to the single publisher; buffers may come back
+/// from any thread (the return is a short mutex hold). The pool's shelf is
+/// shared with every outstanding handle, so handles may outlive the pool
+/// (and its session) safely.
+class SnapshotPool {
+ public:
+  /// `length`: floats per buffer (the model's parameter count).
+  explicit SnapshotPool(std::size_t length);
+
+  SnapshotPool(const SnapshotPool&) = delete;
+  SnapshotPool& operator=(const SnapshotPool&) = delete;
+
+  /// A writable buffer of the pool's length: a returned one when any is
+  /// free, else a newly allocated one. Given `contents` (of the pool's
+  /// length), the buffer holds a copy of them — one pass, also for a new
+  /// buffer; without, its contents are unspecified.
+  std::unique_ptr<ModelStore::Buffer> acquire(
+      std::span<const float> contents = {});
+
+  /// Seal a buffer from acquire() into an immutable shared snapshot; the
+  /// buffer returns to this pool when the snapshot's last handle drops.
+  ModelStore::Snapshot seal(std::unique_ptr<ModelStore::Buffer> buffer);
+
+  /// Buffers this pool ever allocated. Once the ring and the readers'
+  /// handles reach a steady state it stops moving — the zero-growth gauge
+  /// for publishing (RuntimeStats::snapshot_buffer_growths).
+  std::size_t growths() const;
+
+ private:
+  struct Shelf;
+  struct ReturnToShelf;
+  std::shared_ptr<Shelf> shelf_;
 };
 
 }  // namespace fleet::core

@@ -132,7 +132,10 @@ SubmitResult AsyncAggregator::submit(const WorkerUpdate& update) {
 }
 
 PlannedSubmit AsyncAggregator::plan_submit(const WorkerUpdate& update) {
-  if (update.gradient.size() != parameter_count_) {
+  // The bookkeeping never reads the gradient values, so an int8 job may
+  // plan with an empty float view; its fold checks the payload's size.
+  if (!update.gradient.empty() &&
+      update.gradient.size() != parameter_count_) {
     throw std::invalid_argument("AsyncAggregator::plan_submit: gradient size");
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -159,6 +162,21 @@ void AsyncAggregator::fold_into(std::size_t begin, std::size_t end,
   // Same fused axpy (and the same double->float cast) as submit(), on a
   // slice. No lock: disjoint-span writers, coordinated by the caller.
   tensor::axpy(static_cast<float>(weight), gradient.subspan(begin, end - begin),
+               std::span<float>(accumulator_).subspan(begin, end - begin));
+}
+
+void AsyncAggregator::fold_into(std::size_t begin, std::size_t end,
+                                double weight,
+                                std::span<const std::int8_t> quantized,
+                                float scale) {
+  if (quantized.size() != parameter_count_) {
+    throw std::invalid_argument("AsyncAggregator::fold_into: gradient size");
+  }
+  if (begin > end || end > parameter_count_) {
+    throw std::invalid_argument("AsyncAggregator::fold_into: bad span");
+  }
+  tensor::axpy(static_cast<float>(weight),
+               quantized.subspan(begin, end - begin), scale,
                std::span<float>(accumulator_).subspan(begin, end - begin));
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -98,7 +99,10 @@ class AsyncAggregator {
   /// The bookkeeping half of submit(), with the numeric fold deferred:
   /// computes and records the weight exactly as submit() would (weight
   /// log, LD_global, staleness observation, round counter) and reports
-  /// whether this submission completes an aggregation round. The caller
+  /// whether this submission completes an aggregation round. It never
+  /// reads the gradient values, so `update.gradient` may be empty (an int8
+  /// job, whose payload only its fold reads); a non-empty one must hold
+  /// parameter_count() values. The caller
   /// owns the deferred arithmetic: one fold_into() per planned submission
   /// and, where flush was reported, a flush_span() sweep — in plan order,
   /// span by span (runtime::ShardedAggregator). Because the weight is
@@ -116,6 +120,13 @@ class AsyncAggregator {
   /// the span selects the slice.
   void fold_into(std::size_t begin, std::size_t end, double weight,
                  std::span<const float> gradient);
+
+  /// fold_into over an int8 payload (DESIGN.md §12): the gradient is
+  /// float(quantized[i]) * scale, dequantized in-register, so the
+  /// accumulator receives exactly what folding the decoder's float
+  /// reconstruction would give. `quantized` is the full-length payload.
+  void fold_into(std::size_t begin, std::size_t end, double weight,
+                 std::span<const std::int8_t> quantized, float scale);
 
   /// Span-wise flush: copy accumulator[begin,end) into the flushed buffer
   /// and zero it, returning a view of the flushed slice (valid until the

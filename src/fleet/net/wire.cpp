@@ -134,6 +134,10 @@ void encode_frame(const WireMeta& meta, const stats::LabelDistribution& labels,
 
 void encode_job(const runtime::GradientJob& job, PayloadKind kind,
                 std::vector<std::uint8_t>& out) {
+  if (!job.quantized.empty()) {
+    throw std::invalid_argument(
+        "encode_job: the job carries an int8 payload, not a float gradient");
+  }
   WireMeta meta;
   meta.model_id = job.model_id;
   meta.task_version = job.task_version;
@@ -218,13 +222,20 @@ WireError WireDecoder::decode(std::span<const std::uint8_t> frame,
   job.label_dist = std::move(labels);
 
   const std::size_t at = kWireHeaderBytes + 4 * n_classes;
-  job.gradient.resize(value_count);  // reuses capacity across frames
+  // Both payload buffers keep their capacity across frames; the one the
+  // frame does not use is left empty, which is what names the job's kind.
   if (kind == PayloadKind::kInt8) {
+    // The int8 payload stays int8 until the fold dequantizes it in-register
+    // (DESIGN.md §12): 1 byte per value through the queue instead of 4.
     const auto* values =
         reinterpret_cast<const std::int8_t*>(frame.data() + at);
-    dequantize_into(std::span<const std::int8_t>(values, value_count), scale,
-                    job.gradient);
+    job.gradient.clear();
+    job.quantized.assign(values, values + value_count);
+    job.scale = scale;
   } else {
+    job.quantized.clear();
+    job.scale = 0.0f;
+    job.gradient.resize(value_count);
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(job.gradient.data(), frame.data() + at,
                   value_count * sizeof(float));

@@ -74,8 +74,10 @@ void encode_frame(const WireMeta& meta, const stats::LabelDistribution& labels,
                   std::span<const float> gradient,
                   std::vector<std::uint8_t>& out);
 
-/// Serialize an in-process job as it would cross the wire: quantized
-/// (kInt8, lossy like a real worker upload) or verbatim (kFloat32).
+/// Serialize an in-process job's float gradient as it would cross the
+/// wire: quantized (kInt8, lossy like a real worker upload) or verbatim
+/// (kFloat32). Throws std::invalid_argument for a job that carries an int8
+/// payload (a decoded frame) instead.
 void encode_job(const runtime::GradientJob& job, PayloadKind kind,
                 std::vector<std::uint8_t>& out);
 
@@ -110,11 +112,13 @@ struct WireLimits {
 /// number of threads (decode writes only into caller-owned buffers).
 ///
 /// decode() fills the job's routing fields (model id, task version,
-/// mini-batch, label distribution) and reconstructs the gradient into
-/// `job.gradient`, reusing that vector's capacity — after warm-up a
-/// fixed-size stream decodes with no steady-state allocation on the
-/// gradient path (the int8 kind dequantizes straight from the wire bytes
-/// via dequantize_into, never materializing a QuantizedGradient).
+/// mini-batch, label distribution) and the payload, reusing the job's
+/// buffer capacity — after warm-up a fixed-size stream decodes with no
+/// steady-state allocation on the gradient path. The int8 kind is kept
+/// int8: its values land in `job.quantized` and its scale in `job.scale`,
+/// with `job.gradient` left empty, and the fold dequantizes them
+/// in-register (DESIGN.md §12). The float32 kind fills `job.gradient` and
+/// leaves `job.quantized` empty.
 class WireDecoder {
  public:
   explicit WireDecoder(const WireLimits& limits = {}) : limits_(limits) {}

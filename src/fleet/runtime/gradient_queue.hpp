@@ -58,6 +58,12 @@ struct GradientJob {
   core::ModelId model_id = core::kDefaultModelId;
   std::size_t task_version = 0;            // t_i the gradient was computed at
   std::vector<float> gradient;             // owned; moved, never copied
+  /// Int8 payload of a wire frame, kept quantized until the fold
+  /// (DESIGN.md §12): when non-empty the gradient is
+  /// float(quantized[i]) * scale and `gradient` is empty. In-process
+  /// producers leave it empty and fill `gradient`.
+  std::vector<std::int8_t> quantized;
+  float scale = 0.0f;                      // scale of `quantized`
   stats::LabelDistribution label_dist{1};  // LD of the mini-batch
   std::size_t mini_batch = 0;
   std::optional<profiler::Observation> feedback;  // profiler payload
@@ -80,6 +86,11 @@ struct GradientJob {
   /// between queued jobs is all the shed comparison consumes, and queueing
   /// delay only makes an already-stale job staler (DESIGN.md §14).
   double shed_cost = 0.0;
+
+  /// Gradient length, whichever payload carries it.
+  std::size_t value_count() const {
+    return quantized.empty() ? gradient.size() : quantized.size();
+  }
 };
 
 /// Bounded, sharded multi-producer queue feeding the planner threads

@@ -1,9 +1,12 @@
 #include "fleet/runtime/model_session.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "fleet/net/compression.hpp"
 
 namespace fleet::runtime {
 
@@ -26,7 +29,8 @@ ModelSession::ModelSession(core::ModelId id, nn::TrainableModel& model,
                   config.aggregator),
       store_(config.snapshot_window),
       staleness_hist_(telemetry::staleness_bounds()),
-      weight_hist_(telemetry::weight_bounds()) {
+      weight_hist_(telemetry::weight_bounds()),
+      snapshot_pool_(model.parameter_count()) {
   if (profiler_ == nullptr) {
     throw std::invalid_argument("ModelSession: null profiler");
   }
@@ -44,11 +48,24 @@ ModelSession::ModelSession(core::ModelId id, nn::TrainableModel& model,
 
 void ModelSession::publish_version(std::size_t version) {
   // Aggregation thread only (plus the constructor, before the session is
-  // registered): one bulk copy out of the parameter arena, then an atomic
-  // handle swap that request threads pick up lock-free.
-  const auto view = model_.parameters_view();
-  auto snapshot = store_.publish(
-      version, core::ModelStore::Buffer(view.begin(), view.end()));
+  // registered). The latch of the plan that wrote lane_buffer_ resolved
+  // before this runs, so the count is final: a whole buffer is the arena
+  // after the plan, bit for bit, and publishing it is a handle swap. Any
+  // other case copies the arena into a pooled buffer.
+  std::unique_ptr<core::ModelStore::Buffer> buffer = std::move(lane_buffer_);
+  const bool lanes_wrote =
+      buffer != nullptr &&
+      lane_written_.load(std::memory_order_acquire) == buffer->size();
+  if (!lanes_wrote) {
+    const auto view = model_.parameters_view();
+    if (buffer == nullptr) {
+      buffer = snapshot_pool_.acquire(view);
+    } else {
+      std::copy(view.begin(), view.end(), buffer->begin());
+    }
+  }
+  auto snapshot =
+      store_.publish(version, snapshot_pool_.seal(std::move(buffer)));
   current_.store(std::make_shared<const VersionedSnapshot>(
       VersionedSnapshot{version, std::move(snapshot)}));
 }
@@ -121,8 +138,15 @@ double ModelSession::shed_cost(const GradientJob& job,
 }
 
 const char* ModelSession::validate(const GradientJob& job) const {
-  if (job.gradient.size() != model_.parameter_count()) {
+  if (!job.quantized.empty() && !job.gradient.empty()) {
+    return "gradient carries both a float and an int8 payload";
+  }
+  if (job.value_count() != model_.parameter_count()) {
     return "gradient size mismatch";
+  }
+  if (!job.quantized.empty() &&
+      !(std::isfinite(job.scale) && job.scale > 0.0f)) {
+    return "invalid quantization scale";
   }
   if (job.label_dist.n_classes() != model_.n_classes()) {
     return "label distribution class count mismatch";
@@ -200,8 +224,13 @@ void ModelSession::record_processed(const GradientJob& job, double staleness,
 bool ModelSession::process(GradientJob&& job) {
   const auto admitted = screen(job);
   if (!admitted) return false;
-  const learning::SubmitResult result =
-      aggregator_.submit(update_from(job, admitted->staleness));
+  learning::WorkerUpdate update = update_from(job, admitted->staleness);
+  if (!job.quantized.empty()) {
+    dequantized_.resize(job.quantized.size());
+    net::dequantize_into(job.quantized, job.scale, dequantized_);
+    update.gradient = std::span<const float>(dequantized_);
+  }
+  const learning::SubmitResult result = aggregator_.submit(update);
 
   bool updated = false;
   if (result.aggregate) {
@@ -224,17 +253,27 @@ bool ModelSession::plan_process(GradientJob& job, std::vector<FoldOp>& plan) {
       aggregator_.plan_submit(update_from(job, admitted->staleness));
 
   FoldOp fold;
-  fold.kind = FoldOp::Kind::kFold;
   fold.gradient = std::span<const float>(job.gradient);
+  fold.quantized = std::span<const std::int8_t>(job.quantized);
+  fold.scale = job.scale;
   fold.weight = planned.weight;
+  // K = 1: the accumulator is zero before every fold and flushed right
+  // after it, so fold + flush + apply fuse into one kFoldApply pass.
+  const bool fused = planned.flush && config_.aggregator.aggregation_k == 1;
+  if (fused) {
+    fold.kind = FoldOp::Kind::kFoldApply;
+    fold.learning_rate = config_.learning_rate;
+  }
   plan.push_back(fold);
 
   bool updated = false;
   if (planned.flush) {
-    FoldOp apply;
-    apply.kind = FoldOp::Kind::kFlushApply;
-    apply.learning_rate = config_.learning_rate;
-    plan.push_back(apply);
+    if (!fused) {
+      FoldOp apply;
+      apply.kind = FoldOp::Kind::kFlushApply;
+      apply.learning_rate = config_.learning_rate;
+      plan.push_back(apply);
+    }
     // The logical clock advances at the planned flush, before the shards
     // run the arithmetic — legal because the version only becomes
     // observable-with-parameters at publication, which waits for the
@@ -252,6 +291,15 @@ FoldContext ModelSession::fold_context() {
   ctx.parameters = model_.parameters_mut();
   ctx.spans = fold_spans_;
   ctx.model = id_;
+  if (version_.load(std::memory_order_relaxed) != published_version_) {
+    // The clock advanced, so the plan changes the arena: let its last
+    // parameter-changing op write the new parameters into a pooled buffer
+    // on the fold lanes, and publish_if_dirty() swap it in.
+    if (lane_buffer_ == nullptr) lane_buffer_ = snapshot_pool_.acquire();
+    lane_written_.store(0, std::memory_order_relaxed);
+    ctx.snapshot = std::span<float>(*lane_buffer_);
+    ctx.snapshot_written = &lane_written_;
+  }
   return ctx;
 }
 
@@ -262,6 +310,7 @@ RuntimeStats ModelSession::stats() const {
   // consistent cut: processed always matches the histograms and traces.
   snapshot.submitted = submitted_.load(std::memory_order_acquire);
   snapshot.degraded = degraded_.load(std::memory_order_acquire);
+  snapshot.snapshot_buffer_growths = snapshot_pool_.growths();
   std::lock_guard<std::mutex> lock(trace_mu_);
   snapshot.processed = processed_;
   snapshot.model_updates = model_updates_;

@@ -59,6 +59,12 @@ struct RuntimeStats {
   /// to fold_buffer_growths for "no per-call heap allocation in the
   /// arithmetic hot loops".
   std::size_t scratch_bytes_peak = 0;
+  /// Per session: snapshot buffers its SnapshotPool ever allocated
+  /// (DESIGN.md §4). Publishing reuses buffers whose last handle dropped,
+  /// so once the snapshot ring and the readers' handles are warm this
+  /// stops moving — the zero-growth gauge for publication, as
+  /// fold_buffer_growths is for the fold.
+  std::size_t snapshot_buffer_growths = 0;
   /// Staleness (tau) per processed gradient, bucketed — exact for every
   /// gradient ever processed, unlike the capped raw vector below.
   telemetry::HistogramSnapshot staleness_hist;
@@ -211,32 +217,47 @@ class ModelSession {
 
   // --- aggregation-thread side (single caller: the host's loop) ---------
 
-  /// Sequential fold: screen, dampen, accumulate, maybe update the model
-  /// and advance the clock. Snapshot publication is deferred to
-  /// publish_if_dirty() so the host can batch it per drain. Returns false
-  /// when the job was dropped as invalid (so the host's per-gradient fold
-  /// trace events cover exactly the processed gradients).
+  /// Sequential fold, the unfused reference: screen, dampen, accumulate,
+  /// maybe update the model and advance the clock. An int8 job is first
+  /// dequantized with the wire decoder's arithmetic (net::dequantize_into)
+  /// into a session-owned buffer, so this path keeps the pre-fusion op
+  /// sequence the fused kernels are checked against. Snapshot publication
+  /// is deferred to publish_if_dirty() so the host can batch it per drain.
+  /// Returns false when the job was dropped as invalid (so the host's
+  /// per-gradient fold trace events cover exactly the processed
+  /// gradients).
   bool process(GradientJob&& job);
 
   /// Sharded-path counterpart of process(): the same central bookkeeping
   /// (clock, staleness, weight, profiler feedback, stats) with the numeric
   /// fold deferred into `plan` for the shared fold scheduler
-  /// (ShardedAggregator::submit) against fold_context(). Returns false
-  /// when the job was dropped as invalid (nothing entered the plan).
+  /// (ShardedAggregator::submit) against fold_context(). With K = 1 every
+  /// job is a whole aggregation round and plans one fused kFoldApply;
+  /// otherwise a kFold plus, at a round boundary, a kFlushApply. An int8
+  /// job's ops read its payload in place — it stays int8 until the fold.
+  /// Returns false when the job was dropped as invalid (nothing entered
+  /// the plan).
   bool plan_process(GradientJob& job, std::vector<FoldOp>& plan);
 
   /// The context the shared fold scheduler executes this session's plans
   /// against: its aggregator, its model's mutable arena, and the cached
   /// span partition (computed once at construction — the partition depends
   /// only on (parameter count, fold shards), both fixed for the session's
-  /// lifetime, so deriving it per batch was pure hot-path waste).
+  /// lifetime, so deriving it per batch was pure hot-path waste). When the
+  /// clock advanced since the last publication, the context also carries a
+  /// pooled snapshot buffer for the fold lanes to write the new parameters
+  /// into (DESIGN.md §4), which publish_if_dirty() then publishes.
   FoldContext fold_context();
 
-  /// Materialize and publish a snapshot if the clock advanced since the
-  /// last publication (one O(|theta|) copy per dirty batch, not per
-  /// update). The constructor publishes version 0, so requests never see
-  /// an empty store. Returns true when a snapshot was actually published
-  /// (so the host can scope its publish-latency span to real work).
+  /// Publish a snapshot if the clock advanced since the last publication
+  /// (once per dirty batch, not per update). When the fold lanes wrote the
+  /// whole buffer of the last fold_context() — every span task finished —
+  /// publishing is a handle swap; otherwise (the sequential path, or a
+  /// plan with a quarantined task) the arena is copied into a pooled
+  /// buffer, so a half-written buffer is never published. The constructor
+  /// publishes version 0, so requests never see an empty store. Returns
+  /// true when a snapshot was actually published (so the host can scope
+  /// its publish-latency span to real work).
   bool publish_if_dirty();
 
   /// Session-local stats view. The host-wide fields (backpressure, queue
@@ -310,6 +331,21 @@ class ModelSession {
   /// runs without telemetry).
   telemetry::Histogram* staleness_metric_ = nullptr;
   telemetry::Histogram* weight_metric_ = nullptr;
+
+  // Publication and int8 state, declared last so the fields above — the
+  // clock, current(), the counters and their mutexes, which request,
+  // injector and planner threads touch concurrently — keep their relative
+  // placement and cache-line neighbours.
+  /// Snapshot buffers, recycled once their last handle drops.
+  core::SnapshotPool snapshot_pool_;
+  /// Aggregation thread only: the pooled buffer the fold lanes of the last
+  /// fold_context() write into, until publish_if_dirty() seals it, and how
+  /// many of its elements the lanes finished (see FoldContext::snapshot).
+  std::unique_ptr<core::ModelStore::Buffer> lane_buffer_;
+  std::atomic<std::size_t> lane_written_{0};
+  /// Aggregation thread only: process()'s dequantization buffer for int8
+  /// jobs (sized once, reused).
+  std::vector<float> dequantized_;
 };
 
 }  // namespace fleet::runtime

@@ -68,14 +68,50 @@ std::vector<FoldSpan> ShardedAggregator::partition(std::size_t param_count,
 
 void ShardedAggregator::run_task(const FoldTask& task) {
   const auto [begin, end] = task.span;
-  for (const FoldOp& op : task.plan) {
-    if (op.kind == FoldOp::Kind::kFold) {
-      task.ctx.aggregator->fold_into(begin, end, op.weight, op.gradient);
-    } else {
-      const auto flushed = task.ctx.aggregator->flush_span(begin, end);
-      tensor::axpy(-op.learning_rate, flushed,
-                   task.ctx.parameters.subspan(begin, end - begin));
+  const std::size_t n = end - begin;
+  const std::span<float> params = task.ctx.parameters.subspan(begin, n);
+  for (std::size_t i = 0; i < task.plan.size(); ++i) {
+    const FoldOp& op = task.plan[i];
+    const std::span<float> out = i == task.publish_at
+                                     ? task.ctx.snapshot.subspan(begin, n)
+                                     : std::span<float>();
+    switch (op.kind) {
+      case FoldOp::Kind::kFold:
+        if (op.quantized.empty()) {
+          task.ctx.aggregator->fold_into(begin, end, op.weight, op.gradient);
+        } else {
+          task.ctx.aggregator->fold_into(begin, end, op.weight, op.quantized,
+                                         op.scale);
+        }
+        break;
+      case FoldOp::Kind::kFlushApply: {
+        const auto flushed = task.ctx.aggregator->flush_span(begin, end);
+        tensor::axpy(-op.learning_rate, flushed, params);
+        if (!out.empty()) std::copy(params.begin(), params.end(), out.begin());
+        break;
+      }
+      case FoldOp::Kind::kFoldApply: {
+        // The same double->float weight cast as fold_into and the same -lr
+        // as the kFlushApply axpy: one pass over the span instead of three.
+        const std::size_t length = op.quantized.empty() ? op.gradient.size()
+                                                        : op.quantized.size();
+        if (length != task.ctx.parameters.size()) {
+          throw std::invalid_argument("ShardedAggregator: gradient size");
+        }
+        const float weight = static_cast<float>(op.weight);
+        if (op.quantized.empty()) {
+          tensor::fold_apply(weight, op.gradient.subspan(begin, n),
+                             -op.learning_rate, params, out);
+        } else {
+          tensor::fold_apply(weight, op.quantized.subspan(begin, n), op.scale,
+                             -op.learning_rate, params, out);
+        }
+        break;
+      }
     }
+  }
+  if (task.publish_at < task.plan.size()) {
+    task.ctx.snapshot_written->fetch_add(n, std::memory_order_relaxed);
   }
 }
 
@@ -193,25 +229,45 @@ void ShardedAggregator::submit(const FoldContext& ctx,
           "ShardedAggregator: cached span partition does not cover the arena");
     }
   }
+  if (!ctx.snapshot.empty() &&
+      (ctx.snapshot.size() != ctx.parameters.size() ||
+       ctx.snapshot_written == nullptr)) {
+    throw std::invalid_argument(
+        "ShardedAggregator: snapshot buffer does not match the arena");
+  }
   if (!latch.done()) {
     throw std::invalid_argument(
         "ShardedAggregator: latch already tracks an in-flight plan");
   }
   if (plan.empty()) return;
+  // The plan's last parameter-changing op writes the snapshot buffer: the
+  // arena after it is the arena after the whole plan (later kFolds only
+  // touch the accumulator).
+  std::size_t publish_at = plan.size();
+  if (!ctx.snapshot.empty()) {
+    for (std::size_t i = plan.size(); i-- > 0;) {
+      if (plan[i].kind != FoldOp::Kind::kFold) {
+        publish_at = i;
+        break;
+      }
+    }
+  }
 
   std::size_t armed = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!ctx.spans.empty()) {
       for (std::size_t i = 0; i < ctx.spans.size(); ++i) {
-        tasks_.push_back(FoldTask{ctx, plan, ctx.spans[i], i, &latch});
+        tasks_.push_back(
+            FoldTask{ctx, plan, ctx.spans[i], i, &latch, publish_at});
         ++armed;
       }
     } else {
       for (std::size_t s = 0; s < shards_; ++s) {
         const auto [begin, end] = span_of(ctx.parameters.size(), shards_, s);
         if (begin >= end) continue;
-        tasks_.push_back(FoldTask{ctx, plan, FoldSpan{begin, end}, s, &latch});
+        tasks_.push_back(FoldTask{ctx, plan, FoldSpan{begin, end}, s, &latch,
+                                  publish_at});
         ++armed;
       }
     }

@@ -21,17 +21,25 @@ namespace fleet::runtime {
 /// builds the plan centrally — one kFold per accepted gradient carrying the
 /// weight it computed (staleness lambda(tau) + boost, at processing time),
 /// one kFlushApply wherever a submission completed an aggregation round —
-/// and the shard workers replay it span by span.
+/// and the shard workers replay it span by span. A submission that is a
+/// whole round by itself (K = 1) plans one kFoldApply instead: the fused
+/// fold + flush + apply (tensor::fold_apply), bitwise equal to the pair.
 struct FoldOp {
-  enum class Kind { kFold, kFlushApply };
+  enum class Kind { kFold, kFlushApply, kFoldApply };
   Kind kind = Kind::kFold;
-  /// kFold: the worker's full-length gradient (each shard folds its slice).
-  /// Must outlive the plan's execution — the runtime keeps the drained
-  /// batch alive until every latch of the drain resolved.
+  /// kFold/kFoldApply: the worker's full-length gradient (each shard folds
+  /// its slice) — a float32 one, or an int8 one in `quantized` * `scale`
+  /// (the other view empty). Must outlive the plan's execution — the
+  /// runtime keeps the drained batch alive until every latch of the drain
+  /// resolved.
   std::span<const float> gradient;
-  /// kFold: the dampened weight, computed centrally by plan_submit().
+  std::span<const std::int8_t> quantized;
+  float scale = 0.0f;
+  /// kFold/kFoldApply: the dampened weight, computed centrally by
+  /// plan_submit().
   double weight = 0.0;
-  /// kFlushApply: the server's learning rate for `params -= lr * agg`.
+  /// kFlushApply/kFoldApply: the server's learning rate for
+  /// `params -= lr * agg`.
   float learning_rate = 0.0f;
 };
 
@@ -57,6 +65,15 @@ struct FoldContext {
   /// Which tenant this plan belongs to — carried only so fold-task trace
   /// spans can be keyed by model; the fold itself never reads it.
   core::ModelId model = core::kDefaultModelId;
+  /// Publish from the fold lanes (DESIGN.md §4): when non-empty (arena
+  /// sized), the plan's last parameter-changing op also writes each span's
+  /// new parameters here, and every task that finished adds its span
+  /// length to `*snapshot_written` — so the buffer is complete exactly when
+  /// that count reaches the arena size after the latch resolved. A task
+  /// that failed never adds, which is how the owner tells a half-written
+  /// buffer from a whole one. Empty: nothing is written.
+  std::span<float> snapshot;
+  std::atomic<std::size_t>* snapshot_written = nullptr;
 };
 
 /// Completion latch for one submitted fold plan: submit() arms it with the
@@ -111,11 +128,12 @@ class FoldLatch {
 /// caller and makes the coordinator the S-th lane of the pool. Every
 /// submitted plan must be waited on before the pool is destroyed.
 ///
-/// Workers touch only AsyncAggregator::fold_into / flush_span and their
-/// parameter slice — mutually disjoint across tasks — so no lock is held
-/// during the fold itself. wait() returning establishes the
-/// happens-before edge from every fold of that latch to the caller
-/// (publication reads the arena only after its session's latch resolved).
+/// Workers touch only AsyncAggregator::fold_into / flush_span, their
+/// parameter slice and the same slice of the context's snapshot buffer —
+/// mutually disjoint across tasks — so no lock is held during the fold
+/// itself. wait() returning establishes the happens-before edge from every
+/// fold of that latch to the caller (publication reads the arena and the
+/// snapshot buffer only after its session's latch resolved).
 class ShardedAggregator {
  public:
   /// `shards` >= 1; one worker thread is spawned per shard beyond the
@@ -204,6 +222,9 @@ class ShardedAggregator {
     /// plans and stays hot in that core's cache / NUMA node.
     std::size_t span_index = 0;
     FoldLatch* latch = nullptr;
+    /// Index of the plan's last parameter-changing op, which writes the
+    /// context's snapshot buffer; plan.size() when nothing is written.
+    std::size_t publish_at = 0;
   };
 
   /// Lane id passed by waiters (coordinator lanes): take the queue front.

@@ -35,6 +35,74 @@ void axpy_avx2(float alpha, const float* x, float* y, std::size_t n) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+/// Eight int8 values widened exactly to float, then scaled: one rounding,
+/// the same as the scalar float(q) * scale.
+inline __m256 dequantize8(const std::int8_t* q, __m256 vscale) {
+  const __m128i bytes =
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q));
+  return _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(bytes)),
+                       vscale);
+}
+
+/// theta + alpha * (0 + weight * g) on eight lanes: the zeroed-accumulator
+/// add is kept (it maps -0.0f to +0.0f), then the apply axpy's mul + add.
+inline __m256 fold_apply8(__m256 vtheta, __m256 vg, __m256 vweight,
+                          __m256 valpha) {
+  const __m256 folded =
+      _mm256_add_ps(_mm256_setzero_ps(), _mm256_mul_ps(vweight, vg));
+  return _mm256_add_ps(vtheta, _mm256_mul_ps(valpha, folded));
+}
+
+void fold_apply_avx2(float weight, const float* g, float alpha, float* theta,
+                     float* out, std::size_t n) {
+  const __m256 vw = _mm256_set1_ps(weight);
+  const __m256 va = _mm256_set1_ps(alpha);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 t =
+        fold_apply8(_mm256_loadu_ps(theta + i), _mm256_loadu_ps(g + i), vw, va);
+    _mm256_storeu_ps(theta + i, t);
+    if (out != nullptr) _mm256_storeu_ps(out + i, t);
+  }
+  for (; i < n; ++i) {
+    const float folded = 0.0f + weight * g[i];
+    theta[i] += alpha * folded;
+    if (out != nullptr) out[i] = theta[i];
+  }
+}
+
+void fold_apply_q8_avx2(float weight, const std::int8_t* q, float scale,
+                        float alpha, float* theta, float* out, std::size_t n) {
+  const __m256 vw = _mm256_set1_ps(weight);
+  const __m256 va = _mm256_set1_ps(alpha);
+  const __m256 vs = _mm256_set1_ps(scale);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 t =
+        fold_apply8(_mm256_loadu_ps(theta + i), dequantize8(q + i, vs), vw, va);
+    _mm256_storeu_ps(theta + i, t);
+    if (out != nullptr) _mm256_storeu_ps(out + i, t);
+  }
+  for (; i < n; ++i) {
+    const float folded = 0.0f + weight * (static_cast<float>(q[i]) * scale);
+    theta[i] += alpha * folded;
+    if (out != nullptr) out[i] = theta[i];
+  }
+}
+
+void axpy_q8_avx2(float alpha, const std::int8_t* q, float scale, float* y,
+                  std::size_t n) {
+  const __m256 va = _mm256_set1_ps(alpha);
+  const __m256 vs = _mm256_set1_ps(scale);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 vy = _mm256_loadu_ps(y + i);
+    _mm256_storeu_ps(
+        y + i, _mm256_add_ps(vy, _mm256_mul_ps(va, dequantize8(q + i, vs))));
+  }
+  for (; i < n; ++i) y[i] += alpha * (static_cast<float>(q[i]) * scale);
+}
+
 void scale_avx2(float* x, float alpha, std::size_t n) {
   const __m256 va = _mm256_set1_ps(alpha);
   std::size_t i = 0;
@@ -162,6 +230,9 @@ const KernelTable* avx2_table() {
       matmul_avx2,
       matmul_at_b_avx2,
       matmul_a_bt_avx2,
+      fold_apply_avx2,
+      fold_apply_q8_avx2,
+      axpy_q8_avx2,
   };
   return &t;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -75,6 +76,24 @@ struct KernelTable {
   /// shape. Dot-product reduction — ULP-close (not bitwise) to portable.
   void (*matmul_a_bt)(const float* a, const float* b, float* c,
                       std::size_t m, std::size_t k, std::size_t n);
+
+  /// The fused K=1 fold (DESIGN.md §10): theta[i] = theta[i] + alpha *
+  /// (0.0f + weight * g[i]), and out[i] = the new theta[i] when `out` is
+  /// non-null. It replays the unfused sequence op for op — axpy(weight)
+  /// into a zeroed accumulator, the flush copy, axpy(alpha) into theta —
+  /// so it is bitwise equal to that sequence (the `0.0f +` is the zeroed
+  /// accumulator, and it turns a -0.0f product into +0.0f exactly as the
+  /// accumulator did).
+  void (*fold_apply)(float weight, const float* g, float alpha, float* theta,
+                     float* out, std::size_t n);
+  /// fold_apply over an int8 payload: g[i] = float(q[i]) * scale, the wire
+  /// decoder's dequantization, computed in-register.
+  void (*fold_apply_q8)(float weight, const std::int8_t* q, float scale,
+                        float alpha, float* theta, float* out, std::size_t n);
+  /// y[i] += alpha * (float(q[i]) * scale): axpy over an int8 payload, the
+  /// K>1 fold of a quantized gradient into the accumulator.
+  void (*axpy_q8)(float alpha, const std::int8_t* q, float scale, float* y,
+                  std::size_t n);
 };
 
 /// True when `backend`'s table is compiled in AND usable on this CPU.

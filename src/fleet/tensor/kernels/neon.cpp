@@ -4,11 +4,11 @@
 //
 // Bitwise discipline mirrors the AVX2 backend: explicit vmulq + vaddq (NOT
 // vmlaq/vfmaq, which fuse) so every lane performs the portable loop's
-// two-rounding sequence. The GEMMs and order-pinned reductions delegate to
-// the portable implementations — this backend vectorizes the flat-span
-// fold path (axpy/scale/add/max_abs_diff), which is what the aggregation
-// runtime hammers; widening it to the GEMMs is a follow-up that needs
-// aarch64 hardware to validate against the parity suite.
+// two-rounding sequence. The GEMMs, the fused folds and the order-pinned
+// reductions delegate to the portable implementations — this backend
+// vectorizes the flat-span kernels (axpy/scale/add/max_abs_diff); widening
+// it to the GEMMs and the fused folds is a follow-up that needs aarch64
+// hardware to validate against the parity suite.
 #include "fleet/tensor/kernels/backend_tables.hpp"
 
 #if defined(FLEET_HAVE_NEON) && defined(__aarch64__)
@@ -77,6 +77,9 @@ const KernelTable* neon_table() {
       portable_table().matmul,
       portable_table().matmul_at_b,
       portable_table().matmul_a_bt,
+      portable_table().fold_apply,
+      portable_table().fold_apply_q8,
+      portable_table().axpy_q8,
   };
   return &t;
 }

@@ -91,6 +91,33 @@ void matmul_a_bt_portable(const float* a, const float* b, float* c,
   }
 }
 
+void fold_apply_portable(float weight, const float* g, float alpha,
+                         float* theta, float* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float folded = 0.0f + weight * g[i];
+    theta[i] += alpha * folded;
+    if (out != nullptr) out[i] = theta[i];
+  }
+}
+
+void fold_apply_q8_portable(float weight, const std::int8_t* q, float scale,
+                            float alpha, float* theta, float* out,
+                            std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float g = static_cast<float>(q[i]) * scale;
+    const float folded = 0.0f + weight * g;
+    theta[i] += alpha * folded;
+    if (out != nullptr) out[i] = theta[i];
+  }
+}
+
+void axpy_q8_portable(float alpha, const std::int8_t* q, float scale,
+                      float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] += alpha * (static_cast<float>(q[i]) * scale);
+  }
+}
+
 }  // namespace
 
 double squared_norm_pinned(const float* x, std::size_t n) {
@@ -122,6 +149,9 @@ const KernelTable& portable_table() {
       matmul_portable,
       matmul_at_b_portable,
       matmul_a_bt_portable,
+      fold_apply_portable,
+      fold_apply_q8_portable,
+      axpy_q8_portable,
   };
   return t;
 }

@@ -14,6 +14,13 @@ void require_rank2(const Tensor& t, const char* name) {
   }
 }
 
+void require_fold_apply_sizes(std::size_t g, std::span<float> theta,
+                              std::span<float> out) {
+  if (g != theta.size() || (!out.empty() && out.size() != theta.size())) {
+    throw std::invalid_argument("fold_apply: size mismatch");
+  }
+}
+
 }  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -58,6 +65,28 @@ void axpy(float alpha, const Tensor& x, Tensor& y) {
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
   if (x.size() != y.size()) throw std::invalid_argument("axpy: size mismatch");
   kernels::active().axpy(alpha, x.data(), y.data(), x.size());
+}
+
+void axpy(float alpha, std::span<const std::int8_t> q, float scale,
+          std::span<float> y) {
+  if (q.size() != y.size()) throw std::invalid_argument("axpy: size mismatch");
+  kernels::active().axpy_q8(alpha, q.data(), scale, y.data(), q.size());
+}
+
+void fold_apply(float weight, std::span<const float> g, float alpha,
+                std::span<float> theta, std::span<float> out) {
+  require_fold_apply_sizes(g.size(), theta, out);
+  kernels::active().fold_apply(weight, g.data(), alpha, theta.data(),
+                               out.empty() ? nullptr : out.data(), g.size());
+}
+
+void fold_apply(float weight, std::span<const std::int8_t> q, float scale,
+                float alpha, std::span<float> theta, std::span<float> out) {
+  require_fold_apply_sizes(q.size(), theta, out);
+  kernels::active().fold_apply_q8(weight, q.data(), scale, alpha,
+                                  theta.data(),
+                                  out.empty() ? nullptr : out.data(),
+                                  q.size());
 }
 
 void scale(Tensor& x, float alpha) {

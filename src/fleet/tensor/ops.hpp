@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "fleet/stats/rng.hpp"
@@ -31,6 +32,23 @@ void axpy(float alpha, const Tensor& x, Tensor& y);
 /// applies an aggregate to its parameter arena in one pass, no staging
 /// copies (DESIGN.md §4).
 void axpy(float alpha, std::span<const float> x, std::span<float> y);
+
+/// y += alpha * (float(q) * scale): axpy over an int8 payload, dequantized
+/// in-register exactly as the wire decoder does (sizes must match).
+void axpy(float alpha, std::span<const std::int8_t> q, float scale,
+          std::span<float> y);
+
+/// The fused K=1 fold (DESIGN.md §10): theta += alpha * (0 + weight * g),
+/// bitwise equal to folding g into a zeroed accumulator, flushing it and
+/// applying axpy(alpha). When `out` is non-empty it receives the new theta
+/// in the same pass (the fold lanes publish from it, DESIGN.md §4). g,
+/// theta and a non-empty out must have equal sizes.
+void fold_apply(float weight, std::span<const float> g, float alpha,
+                std::span<float> theta, std::span<float> out);
+
+/// fold_apply over an int8 payload, g = float(q) * scale.
+void fold_apply(float weight, std::span<const std::int8_t> q, float scale,
+                float alpha, std::span<float> theta, std::span<float> out);
 
 /// x *= alpha.
 void scale(Tensor& x, float alpha);

@@ -63,11 +63,29 @@ TEST(WireFormatTest, Int8FrameRoundTripsBitwise) {
   runtime::GradientJob decoded;
   ASSERT_EQ(decoder.decode(frame, decoded), WireError::kOk);
   expect_meta_roundtrip(job, decoded);
-  // The decoded gradient is bitwise identical to dequantizing the same
-  // quantized payload in-process — the property the end-to-end bitwise
-  // ingest test builds on.
-  const auto expected = dequantize_gradient(quantize_gradient(job.gradient));
-  EXPECT_TRUE(bitwise_equal(expected, decoded.gradient));
+  // The int8 payload stays int8: the decoded values and scale are the
+  // sender's quantization, bit for bit, and no float copy is made.
+  const QuantizedGradient sent = quantize_gradient(job.gradient);
+  EXPECT_TRUE(decoded.gradient.empty());
+  EXPECT_EQ(decoded.quantized, sent.values);
+  EXPECT_EQ(std::memcmp(&decoded.scale, &sent.scale, sizeof(float)), 0);
+  EXPECT_EQ(decoded.value_count(), 777u);
+  // Dequantizing them reproduces the floats the decoder used to hand the
+  // fold — float(int8) * f32 scale per value, computed here straight from
+  // the frame bytes — bitwise: the property the fused int8 fold and the
+  // end-to-end bitwise ingest test build on.
+  float wire_scale = 0.0f;
+  std::memcpy(&wire_scale, frame.data() + 36, sizeof(float));
+  const std::size_t payload_at = kWireHeaderBytes + 4 * 5;
+  std::vector<float> expected(777);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto q = static_cast<std::int8_t>(frame[payload_at + i]);
+    expected[i] = static_cast<float>(q) * wire_scale;
+  }
+  std::vector<float> restored(decoded.quantized.size());
+  dequantize_into(decoded.quantized, decoded.scale, restored);
+  EXPECT_TRUE(bitwise_equal(expected, restored));
+  EXPECT_TRUE(bitwise_equal(dequantize_gradient(sent), restored));
 }
 
 TEST(WireFormatTest, Float32FallbackRoundTripsVerbatim) {
@@ -100,15 +118,39 @@ TEST(WireFormatTest, DecodeReusesTheGradientBuffer) {
   WireDecoder decoder;
   runtime::GradientJob decoded;
 
+  // int8 frames fill the int8 buffer.
   encode_job(job_a, PayloadKind::kInt8, frame);
   ASSERT_EQ(decoder.decode(frame, decoded), WireError::kOk);
-  const float* const data_before = decoded.gradient.data();
-  const std::size_t capacity_before = decoded.gradient.capacity();
+  ASSERT_EQ(decoded.quantized.size(), 500u);
+  const std::int8_t* const q_before = decoded.quantized.data();
+  const std::size_t q_capacity_before = decoded.quantized.capacity();
 
   encode_job(job_b, PayloadKind::kInt8, frame);
   ASSERT_EQ(decoder.decode(frame, decoded), WireError::kOk);
-  EXPECT_EQ(decoded.gradient.data(), data_before);
-  EXPECT_EQ(decoded.gradient.capacity(), capacity_before);
+  ASSERT_EQ(decoded.quantized.size(), 500u);
+  EXPECT_EQ(decoded.quantized.data(), q_before);
+  EXPECT_EQ(decoded.quantized.capacity(), q_capacity_before);
+  EXPECT_EQ(decoded.quantized, quantize_gradient(job_b.gradient).values);
+
+  // float32 frames fill the float buffer, just as reused.
+  encode_job(job_a, PayloadKind::kFloat32, frame);
+  ASSERT_EQ(decoder.decode(frame, decoded), WireError::kOk);
+  ASSERT_EQ(decoded.gradient.size(), 500u);
+  EXPECT_TRUE(decoded.quantized.empty());
+  const float* const g_before = decoded.gradient.data();
+  const std::size_t g_capacity_before = decoded.gradient.capacity();
+
+  encode_job(job_b, PayloadKind::kFloat32, frame);
+  ASSERT_EQ(decoder.decode(frame, decoded), WireError::kOk);
+  EXPECT_EQ(decoded.gradient.data(), g_before);
+  EXPECT_EQ(decoded.gradient.capacity(), g_capacity_before);
+  EXPECT_TRUE(bitwise_equal(job_b.gradient, decoded.gradient));
+
+  // Switching back keeps the int8 buffer's capacity too.
+  encode_job(job_a, PayloadKind::kInt8, frame);
+  ASSERT_EQ(decoder.decode(frame, decoded), WireError::kOk);
+  EXPECT_TRUE(decoded.gradient.empty());
+  EXPECT_EQ(decoded.quantized.data(), q_before);
 }
 
 // --- header validation, one test per reject path -------------------------

@@ -12,10 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "fleet/net/compression.hpp"
 #include "fleet/nn/conv2d.hpp"
 #include "fleet/stats/rng.hpp"
 #include "fleet/tensor/kernels/scratch.hpp"
@@ -227,6 +230,218 @@ TEST(KernelParityTest, MatmulABtTightUlp) {
         }
       }
     }
+  }
+}
+
+// ---- fused folds -----------------------------------------------------------
+//
+// fold_apply / fold_apply_q8 replace the K=1 fold's three steps — fold
+// into a zeroed accumulator, flush it, apply it to theta — and axpy_q8 the
+// K>1 fold of an int8 payload. Each must be bitwise equal to the step
+// sequence it replaces, on every backend, including the signed-zero and
+// extreme-int8 corners.
+
+std::vector<Backend> every_backend() {
+  std::vector<Backend> backends{Backend::kPortable};
+  for (const Backend b : simd_backends()) backends.push_back(b);
+  return backends;
+}
+
+/// Gradient values with signed zeros and an underflowing magnitude planted
+/// at fixed residues of the index, so weight * g rounds to -0.0f (every
+/// weight at i % 6 == 0, a tiny weight at i % 6 == 2) and +0.0f.
+std::vector<float> gradient_with_zero_corners(std::size_t n,
+                                              std::uint64_t seed) {
+  std::vector<float> g = random_floats(n, seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 6 == 0) g[i] = -0.0f;
+    if (i % 6 == 1) g[i] = 0.0f;
+    if (i % 6 == 2) g[i] = -1e-30f;
+  }
+  return g;
+}
+
+/// Parameters holding -0.0f exactly where gradient_with_zero_corners'
+/// products round to -0.0f: the one place the fused kernel's zeroed
+/// accumulator add changes the result's bits. Offsets shift the pattern
+/// against the vector lanes, so both the SIMD bodies and the scalar tails
+/// meet it.
+std::vector<float> theta_with_zero_corners(std::size_t n, std::uint64_t seed) {
+  std::vector<float> theta = random_floats(n, seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 6 == 0 || i % 6 == 2 || i % 6 == 3) theta[i] = -0.0f;
+  }
+  return theta;
+}
+
+/// int8 payload covering both ends of the range and zero.
+std::vector<std::int8_t> int8_with_extremes(std::size_t n, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<std::int8_t> q(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch ((i + seed) % 5) {
+      case 0: q[i] = 127; break;
+      case 1: q[i] = -127; break;
+      case 2: q[i] = 0; break;
+      default:
+        q[i] = static_cast<std::int8_t>(
+            static_cast<int>(rng.uniform(0.0, 255.0)) - 127);
+    }
+  }
+  return q;
+}
+
+/// The three-step reference the fused kernels replace, on the portable
+/// table: acc = 0; acc += weight * g; flushed = acc; theta += alpha * flushed.
+void three_step_reference(float weight, const std::vector<float>& g,
+                          float alpha, float* theta, std::size_t n,
+                          std::size_t off) {
+  const KernelTable& ref = table(Backend::kPortable);
+  std::vector<float> acc(n, 0.0f);
+  ref.axpy(weight, g.data() + off, acc.data(), n);
+  const std::vector<float> flushed = acc;
+  std::fill(acc.begin(), acc.end(), 0.0f);
+  ref.axpy(alpha, flushed.data(), theta, n);
+}
+
+std::vector<float> dequantized(const std::vector<std::int8_t>& q, float scale) {
+  std::vector<float> g(q.size());
+  net::dequantize_into(q, scale, g);
+  return g;
+}
+
+// Weights and -lr values: ordinary, tiny (products underflow to signed
+// zeros) and the weight-1 / -lr pairs the server actually uses.
+const float kWeights[] = {0.37f, 1.0f, 1e-20f};
+const float kAlphas[] = {-0.05f, -1.0f};
+
+TEST(KernelParityTest, FoldApplyBitwiseEqualsFoldFlushApply) {
+  for (const Backend backend : every_backend()) {
+    const KernelTable& k = table(backend);
+    for (const std::size_t n : kLengths) {
+      for (const std::size_t off : kOffsets) {
+        for (const float weight : kWeights) {
+          for (const float alpha : kAlphas) {
+            const std::vector<float> g =
+                gradient_with_zero_corners(n + off, n * 101 + off);
+            const std::vector<float> theta0 =
+                theta_with_zero_corners(n + off, n * 103 + off + 1);
+            std::vector<float> expected = theta0;
+            three_step_reference(weight, g, alpha, expected.data() + off, n,
+                                 off);
+            std::vector<float> theta = theta0;
+            std::vector<float> out(n + off, 7.0f);
+            k.fold_apply(weight, g.data() + off, alpha, theta.data() + off,
+                         out.data() + off, n);
+            EXPECT_TRUE(bitwise_equal(expected.data(), theta.data(), n + off))
+                << k.name << " fold_apply n=" << n << " off=" << off
+                << " w=" << weight << " alpha=" << alpha;
+            EXPECT_TRUE(bitwise_equal(expected.data() + off, out.data() + off,
+                                      n))
+                << k.name << " fold_apply out n=" << n << " off=" << off;
+            std::vector<float> no_out = theta0;
+            k.fold_apply(weight, g.data() + off, alpha, no_out.data() + off,
+                         nullptr, n);
+            EXPECT_TRUE(bitwise_equal(expected.data(), no_out.data(), n + off))
+                << k.name << " fold_apply (no out) n=" << n;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, FoldApplyQ8BitwiseEqualsDequantizeFoldFlushApply) {
+  // Scales: an ordinary one and the smallest normal float, the floor
+  // quantize_gradient clamps to.
+  const float scales[] = {0.0123f, std::numeric_limits<float>::min()};
+  for (const Backend backend : every_backend()) {
+    const KernelTable& k = table(backend);
+    for (const std::size_t n : kLengths) {
+      for (const std::size_t off : kOffsets) {
+        for (const float scale : scales) {
+          for (const float weight : kWeights) {
+            const float alpha = -0.05f;
+            const std::vector<std::int8_t> q =
+                int8_with_extremes(n + off, n * 107 + off);
+            const std::vector<float> theta0 =
+                theta_with_zero_corners(n + off, n * 109 + off + 1);
+            std::vector<float> expected = theta0;
+            three_step_reference(weight, dequantized(q, scale), alpha,
+                                 expected.data() + off, n, off);
+            std::vector<float> theta = theta0;
+            std::vector<float> out(n + off, 7.0f);
+            k.fold_apply_q8(weight, q.data() + off, scale, alpha,
+                            theta.data() + off, out.data() + off, n);
+            EXPECT_TRUE(bitwise_equal(expected.data(), theta.data(), n + off))
+                << k.name << " fold_apply_q8 n=" << n << " off=" << off
+                << " scale=" << scale << " w=" << weight;
+            EXPECT_TRUE(bitwise_equal(expected.data() + off, out.data() + off,
+                                      n))
+                << k.name << " fold_apply_q8 out n=" << n << " off=" << off;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, AxpyQ8BitwiseEqualsDequantizeThenAxpy) {
+  const float scales[] = {0.0123f, std::numeric_limits<float>::min()};
+  for (const Backend backend : every_backend()) {
+    const KernelTable& k = table(backend);
+    const KernelTable& ref = table(Backend::kPortable);
+    for (const std::size_t n : kLengths) {
+      for (const std::size_t off : kOffsets) {
+        for (const float scale : scales) {
+          const std::vector<std::int8_t> q =
+              int8_with_extremes(n + off, n * 113 + off);
+          const std::vector<float> g = dequantized(q, scale);
+          std::vector<float> expected =
+              theta_with_zero_corners(n + off, n * 127 + off + 1);
+          std::vector<float> y = expected;
+          ref.axpy(0.37f, g.data() + off, expected.data() + off, n);
+          k.axpy_q8(0.37f, q.data() + off, scale, y.data() + off, n);
+          EXPECT_TRUE(bitwise_equal(expected.data(), y.data(), n + off))
+              << k.name << " axpy_q8 n=" << n << " off=" << off
+              << " scale=" << scale;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, FoldApplyKeepsTheZeroedAccumulatorsSignedZero) {
+  // The corner the `0.0f +` term exists for: theta = -0.0f and a product
+  // that rounds to -0.0f. Through the accumulator the product becomes
+  // +0.0f, alpha * +0.0f = -0.0f, and -0.0f + -0.0f = -0.0f; skipping the
+  // accumulator would give alpha * -0.0f = +0.0f and -0.0f + +0.0f = +0.0f.
+  // 19 elements: two full AVX2 bodies (four NEON-width ones) and a tail.
+  constexpr std::size_t kN = 19;
+  const std::vector<float> g(kN, -1e-30f);
+  const std::vector<std::int8_t> q(kN, -127);
+  const float tiny_scale = std::numeric_limits<float>::min();
+  const float skipped = -0.0f + -0.05f * (1e-20f * -1e-30f);
+  ASSERT_FALSE(std::signbit(skipped)) << "a kernel without the add differs";
+  for (const Backend backend : every_backend()) {
+    const KernelTable& k = table(backend);
+    std::vector<float> expected(kN, -0.0f);
+    three_step_reference(1e-20f, g, -0.05f, expected.data(), kN, 0);
+    std::vector<float> expected_q8(kN, -0.0f);
+    three_step_reference(1e-20f, dequantized(q, tiny_scale), -0.05f,
+                         expected_q8.data(), kN, 0);
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_TRUE(std::signbit(expected[i]) && std::signbit(expected_q8[i]))
+          << "the reference keeps -0.0f at " << i;
+    }
+    std::vector<float> theta(kN, -0.0f);
+    k.fold_apply(1e-20f, g.data(), -0.05f, theta.data(), nullptr, kN);
+    EXPECT_TRUE(bitwise_equal(expected.data(), theta.data(), kN)) << k.name;
+    std::vector<float> theta_q8(kN, -0.0f);
+    k.fold_apply_q8(1e-20f, q.data(), tiny_scale, -0.05f, theta_q8.data(),
+                    nullptr, kN);
+    EXPECT_TRUE(bitwise_equal(expected_q8.data(), theta_q8.data(), kN))
+        << k.name << " q8";
   }
 }
 
